@@ -194,8 +194,8 @@ pub struct ReadsArgs {
     pub nodes: Option<usize>,
     /// Engine selection.
     pub engine: EngineChoice,
-    /// Execution backend; defaults to `rayon`, the only backend that
-    /// supports the hierarchical cap.
+    /// Execution backend; defaults to `rayon`. The rayon and distributed
+    /// backends honour the cap; sequential has no buckets to cap.
     pub backend: Backend,
     /// Disable the ancestor fine-tuning step.
     pub no_fine_tune: bool,
@@ -403,7 +403,6 @@ usage: sad <command> [options]
                    [--engine muscle-fast|muscle|clustalw]
                    [--band auto|full|<width>]
                    [--kernel scalar|striped|auto] [--progress] [--trim]
-                   (an explicit --max-bucket needs the rayon backend)
   trim <aligned.fa> [--out FILE] [--max-dropped N] [--branch-bound]
   generate [--n N] [--len L] [--relatedness R] [--seed S] [--reference PATH]
   scaling  [--n N] [--procs 1,4,8,16]
@@ -650,11 +649,9 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 progress: false,
                 trim: false,
             };
-            let mut cap_set = false;
             while let Some(tok) = it.next() {
                 match tok {
                     "--max-bucket" => {
-                        cap_set = true;
                         r.max_bucket = match take_value("--max-bucket", &mut it)? {
                             "none" => None,
                             v => Some(parse_num("--max-bucket", v)?),
@@ -759,20 +756,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             }
             if r.nodes.is_some() && r.backend != Backend::Distributed {
                 return Err(ParseError("--nodes only applies to --backend distributed".into()));
-            }
-            // The hierarchical cap only runs on the rayon backend. An
-            // explicit cap elsewhere is a contradiction worth a parse
-            // error (mirroring --vertical); the mere *default* is not —
-            // drop it so `--backend distributed` works out of the box.
-            if r.backend == Backend::Distributed && r.max_bucket.is_some() {
-                if cap_set {
-                    return Err(ParseError(
-                        "--max-bucket is not supported on the distributed backend \
-                         (use --backend rayon or --max-bucket none)"
-                            .into(),
-                    ));
-                }
-                r.max_bucket = None;
             }
             Ok(Args { command: Command::Reads(r) })
         }
@@ -1474,38 +1457,19 @@ mod tests {
     }
 
     #[test]
-    fn reads_default_cap_yields_to_distributed_but_explicit_cap_errors() {
-        // The default cap silently steps aside: distributed runs work out
-        // of the box, no `--max-bucket none` incantation required.
-        match parse(["reads", "--backend", "distributed"]).unwrap().command {
-            Command::Reads(r) => {
-                assert_eq!(r.backend, Backend::Distributed);
-                assert_eq!(r.max_bucket, None, "default cap dropped for distributed");
-            }
+    fn reads_cap_is_kept_on_every_backend() {
+        // The default and explicit caps reach the pipeline unchanged,
+        // whatever the backend, in either flag order.
+        let cap = |argv: &[&str]| match parse(argv.iter().copied()).unwrap().command {
+            Command::Reads(r) => r.max_bucket,
             _ => panic!("wrong command"),
-        }
-        // An explicit cap on distributed is a contradiction: parse error,
-        // like --vertical on distributed.
-        let err = parse(["reads", "--max-bucket", "64", "--backend", "distributed"]).unwrap_err();
-        assert!(err.0.contains("not supported on the distributed backend"), "{}", err.0);
-        // Flag order must not matter.
-        assert!(parse(["reads", "--backend", "distributed", "--max-bucket", "64"]).is_err());
-        // An explicit `none` on distributed is fine — it asks for exactly
-        // what the backend does anyway.
-        match parse(["reads", "--backend", "distributed", "--max-bucket", "none"]).unwrap().command
-        {
-            Command::Reads(r) => assert_eq!(r.max_bucket, None),
-            _ => panic!("wrong command"),
-        }
-        // Rayon keeps the default and explicit caps untouched.
-        match parse(["reads"]).unwrap().command {
-            Command::Reads(r) => assert_eq!(r.max_bucket, Some(512)),
-            _ => panic!("wrong command"),
-        }
-        match parse(["reads", "--max-bucket", "64"]).unwrap().command {
-            Command::Reads(r) => assert_eq!(r.max_bucket, Some(64)),
-            _ => panic!("wrong command"),
-        }
+        };
+        assert_eq!(cap(&["reads"]), Some(512));
+        assert_eq!(cap(&["reads", "--backend", "distributed"]), Some(512));
+        assert_eq!(cap(&["reads", "--max-bucket", "64"]), Some(64));
+        assert_eq!(cap(&["reads", "--max-bucket", "64", "--backend", "distributed"]), Some(64));
+        assert_eq!(cap(&["reads", "--backend", "distributed", "--max-bucket", "64"]), Some(64));
+        assert_eq!(cap(&["reads", "--backend", "distributed", "--max-bucket", "none"]), None);
     }
 
     #[test]

@@ -106,10 +106,10 @@ fn write_report_comments(report: &RunReport, n_seqs: usize, out: Out) {
 
 /// `sad reads` — the Pyro-Align-style large-N read mode: align a file of
 /// short reads (streamed) or a simulated read set, with buckets over
-/// `--max-bucket` recursively decomposed on the rayon backend. Prints a
-/// run summary (bucket census, decomposition depth, phase table, and —
-/// for simulated input — the mean pair-Q against the known truth) and
-/// optionally writes the gapped FASTA to `--out`.
+/// `--max-bucket` recursively decomposed. Prints a run summary (bucket
+/// census, decomposition depth, phase table, and — for simulated input —
+/// the mean pair-Q against the known truth) and optionally writes the
+/// gapped FASTA to `--out`.
 pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     // 1. Ingest: stream a read file, or simulate a read set whose truth
     //    enables quality gating.
@@ -139,8 +139,8 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     };
     let n = seqs.len();
 
-    // 2. Configure. The cap flows into the pipeline; argument parsing
-    //    already cleared it for backends that don't support it.
+    // 2. Configure. The cap flows into the pipeline (the sequential
+    //    backend has no buckets and ignores it).
     let mut cfg = SadConfig::default()
         .with_engine(r.engine)
         .with_fine_tune(!r.no_fine_tune)
@@ -159,7 +159,7 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     //    the O(w²) local rank never sees a giant block it would only
     //    decompose later anyway.
     let width = match (r.backend, r.max_bucket) {
-        (Backend::Rayon, Some(cap)) => r.parallelism().max(n.div_ceil(cap)),
+        (Backend::Rayon | Backend::Distributed, Some(cap)) => r.parallelism().max(n.div_ceil(cap)),
         _ => r.parallelism(),
     };
     let backend = match r.backend {
@@ -191,9 +191,9 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     writeln!(out, "backend           {} ({} ranks)", report.backend_name(), report.ranks).ok();
     let largest = report.bucket_sizes.iter().max().copied().unwrap_or(0);
     writeln!(out, "buckets           {} (largest {largest})", report.bucket_sizes.len()).ok();
-    // The cap only acts on rayon (sequential has no buckets to split and
-    // distributed rejects it outright), so only rayon reports it.
-    if let (Backend::Rayon, Some(cap)) = (r.backend, r.max_bucket) {
+    // Sequential has no buckets to split, so only the decomposed
+    // backends report the cap.
+    if let (Backend::Rayon | Backend::Distributed, Some(cap)) = (r.backend, r.max_bucket) {
         writeln!(
             out,
             "bucket cap        {cap} ({})",
@@ -1054,9 +1054,8 @@ mod tests {
 
     #[test]
     fn reads_distributed_works_without_an_explicit_cap() {
-        // The default cap steps aside at parse time, so the virtual
-        // cluster aligns a read set out of the box — no `--max-bucket
-        // none` incantation to discover.
+        // The virtual cluster aligns a read set out of the box, under the
+        // default cap.
         let out = run_str(&[
             "reads",
             "--reads",
@@ -1071,10 +1070,42 @@ mod tests {
             "3",
         ]);
         assert!(out.contains("backend           distributed"), "{out}");
-        // An explicit cap on distributed never reaches the pipeline: it
-        // is rejected while parsing, like --vertical.
-        let err = parse(["reads", "--backend", "distributed", "--max-bucket", "512"]).unwrap_err();
-        assert!(err.0.contains("not supported on the distributed backend"), "{}", err.0);
+        assert!(out.contains("bucket cap        512 (respected)"), "{out}");
+    }
+
+    #[test]
+    fn reads_distributed_respects_an_explicit_cap_like_rayon() {
+        // Both decomposed backends widen to the same `max(p, n / cap)`
+        // blocks and split them into the same leaves, so their
+        // alignments are byte-identical.
+        let dir = tmpdir().join("reads-capped");
+        std::fs::create_dir_all(&dir).unwrap();
+        let aligned = |backend: &str, width: &str| {
+            let path = dir.join(format!("{backend}.fa"));
+            let out = run_str(&[
+                "reads",
+                "--reads",
+                "120",
+                "--read-len",
+                "50",
+                "--source-len",
+                "150",
+                "--kmer",
+                "3",
+                "--max-bucket",
+                "16",
+                "--backend",
+                backend,
+                width,
+                "2",
+                "--out",
+                path.to_str().unwrap(),
+            ]);
+            assert!(out.contains("bucket cap        16 (respected)"), "{backend}:\n{out}");
+            assert!(out.contains("(8 ranks)"), "{backend}: width is n / cap:\n{out}");
+            std::fs::read_to_string(path).unwrap()
+        };
+        assert_eq!(aligned("distributed", "--nodes"), aligned("rayon", "--threads"));
     }
 
     #[test]

@@ -229,14 +229,8 @@ impl Aligner {
                 *threads
             }
             Backend::Distributed(cluster) => {
-                // The SPMD protocol has no recursive redistribution
-                // collective; reject the cap instead of silently ignoring
-                // it (see SadConfig::max_bucket).
-                if self.cfg.max_bucket.is_some() {
-                    return Err(SadError::MaxBucketUnsupported { backend: "distributed" });
-                }
-                // Likewise no block-scheduling collective for vertical
-                // decomposition yet (see SadConfig::vertical).
+                // The SPMD protocol has no block-scheduling collective for
+                // vertical decomposition yet (see SadConfig::vertical).
                 if self.cfg.vertical.is_some() {
                     return Err(SadError::VerticalUnsupported { backend: "distributed" });
                 }
@@ -260,10 +254,10 @@ impl Aligner {
                 crate::sequential::sequential_pipeline(seqs, &self.cfg, &ctx, scratch)
             }
             (Backend::Rayon { threads }, None) => {
-                crate::rayon_impl::rayon_pipeline(seqs, *threads, &self.cfg, &ctx)
+                crate::decomposed::rayon_pipeline(seqs, *threads, &self.cfg, &ctx)
             }
             (Backend::Distributed(cluster), _) => {
-                crate::distributed::distributed_pipeline(cluster, seqs, &self.cfg, &ctx)
+                crate::decomposed::distributed_pipeline(cluster, seqs, &self.cfg, &ctx)
             }
         };
         // The trim stage runs on the finished root alignment, so it is a
@@ -443,15 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn max_bucket_rejected_on_distributed_only() {
+    fn max_bucket_respected_on_both_decomposed_backends() {
         let seqs = family(12, 9);
         let cfg = SadConfig::default().with_max_bucket(Some(4));
         let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
-        let err = Aligner::new(cfg.clone()).backend(Backend::Distributed(cluster)).run(&seqs);
-        assert_eq!(err, Err(SadError::MaxBucketUnsupported { backend: "distributed" }));
-        // Rayon honours the cap; sequential has no buckets and ignores it.
+        let dist = Aligner::new(cfg.clone()).backend(Backend::Distributed(cluster)).run(&seqs);
         let ray = Aligner::new(cfg.clone()).backend(Backend::Rayon { threads: 2 }).run(&seqs);
-        assert!(ray.unwrap().bucket_sizes.iter().all(|&b| b <= 4));
+        let (dist, ray) = (dist.unwrap(), ray.unwrap());
+        assert!(dist.bucket_sizes.iter().all(|&b| b <= 4), "{:?}", dist.bucket_sizes);
+        assert_eq!(dist.bucket_sizes, ray.bucket_sizes);
+        assert_eq!(dist.msa, ray.msa);
+        // Sequential has no buckets and ignores the cap.
         let seq = Aligner::new(cfg).run(&seqs).unwrap();
         assert_eq!(seq.bucket_sizes, vec![12]);
     }

@@ -49,9 +49,9 @@ pub struct SadConfig {
     /// ([`crate::Phase::SubPartition`]) until every leaf bucket fits, so
     /// no single engine run — and no single rank — ever centralises an
     /// oversized bucket. `None` (the default) keeps the flat paper
-    /// pipeline. Supported on the rayon backend; the sequential backend
-    /// has no buckets and ignores it; the distributed backend rejects it
-    /// with [`SadError::MaxBucketUnsupported`].
+    /// pipeline. The rayon and distributed backends split the same
+    /// buckets into the same leaves; the sequential backend has no
+    /// buckets and ignores the cap.
     pub max_bucket: Option<usize>,
     /// Vertical (length-wise) domain decomposition: when set, the run
     /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), slices

@@ -27,6 +27,13 @@
 //! * [`Backend::Sequential`] — the engine run directly (the speedup
 //!   baseline).
 //!
+//! The two decomposed backends run one program: the crate writes the
+//! steps above once, over `p` blocks, and runs them on a shared-memory
+//! substrate (rayon) or on one virtual-cluster rank per block. They give
+//! the same alignment, bucket census and per-phase work on the same
+//! input and width, with or without the hierarchical bucket cap
+//! ([`SadConfig::max_bucket`]) of the large-N read mode.
+//!
 //! Every backend returns the same [`RunReport`]; failures are typed
 //! [`SadError`]s instead of panics. All three backends record their run
 //! through the one [`pipeline`] layer: typed [`Phase`] ids with real
@@ -53,14 +60,21 @@ pub mod audit;
 pub mod batch;
 pub mod config;
 pub mod decomp;
-pub mod distributed;
+mod decomposed;
 pub mod error;
 pub mod messages;
 pub mod pipeline;
 pub mod rank;
-pub mod rayon_impl;
 pub mod report;
 pub mod sequential;
+
+// The backend-level suites of the decomposed pipeline, one per backend.
+#[cfg(test)]
+#[path = "backend_tests/distributed.rs"]
+mod distributed;
+#[cfg(test)]
+#[path = "backend_tests/rayon.rs"]
+mod rayon_impl;
 
 pub use align::{BandPolicy, TrimConfig};
 pub use aligner::{Aligner, Backend};

@@ -1,6 +1,11 @@
 //! Typed messages exchanged between ranks, with wire-size accounting for
 //! the virtual network.
+//!
+//! Every rank holds the staged input, so a message that ships sequences
+//! names them by input index (or carries what was derived from them) and
+//! reports the wire size of the residues it stands for.
 
+use bioseq::kmer::KmerProfile;
 use bioseq::{Msa, Sequence};
 use vcluster::WireSize;
 
@@ -8,19 +13,37 @@ use vcluster::WireSize;
 /// payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedSeq {
-    /// The sequence.
-    pub seq: Sequence,
+    /// The sequence's index in the staged input.
+    pub index: usize,
     /// Its globalized rank (the PSRS key).
     pub rank: f64,
+    /// Wire size of the sequence itself ([`Sequence::wire_bytes`]).
+    pub seq_bytes: usize,
 }
 
 impl WireSize for RankedSeq {
     fn wire_bytes(&self) -> usize {
-        self.seq.wire_bytes() + 8
+        self.seq_bytes + 8
     }
 }
 
-/// A batch of sequences (sample exchange, ancestor gathering).
+/// One regular sample in the sample all-gather: the sample sequence's
+/// k-mer profile, shipped in place of the sequence it was built from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SampleMsg {
+    /// The sample's k-mer profile.
+    pub profile: KmerProfile,
+    /// Wire size of the sample sequence ([`Sequence::wire_bytes`]).
+    pub seq_bytes: usize,
+}
+
+impl WireSize for SampleMsg {
+    fn wire_bytes(&self) -> usize {
+        self.seq_bytes
+    }
+}
+
+/// A batch of sequences (ancestor gathering).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqBatch(pub Vec<Sequence>);
 
@@ -30,8 +53,7 @@ impl WireSize for SeqBatch {
     }
 }
 
-/// An optional single sequence (local/global ancestors; `None` for empty
-/// buckets).
+/// An optional single sequence (the global-ancestor broadcast).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaybeSeq(pub Option<Sequence>);
 
@@ -65,17 +87,12 @@ impl WireSize for AnchoredBlockMsg {
 
 /// A plain alignment block (no-fine-tune glue path).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MsaBlockMsg(pub Option<Msa>);
+pub struct MsaBlockMsg(pub Msa);
 
 impl WireSize for MsaBlockMsg {
     fn wire_bytes(&self) -> usize {
-        match &self.0 {
-            None => 1,
-            Some(m) => {
-                let ids: usize = m.ids().iter().map(|s| 8 + s.len()).sum();
-                1 + ids + m.num_rows() * m.num_cols()
-            }
-        }
+        let ids: usize = self.0.ids().iter().map(|s| 8 + s.len()).sum();
+        ids + self.0.num_rows() * self.0.num_cols()
     }
 }
 
@@ -89,7 +106,7 @@ mod tests {
 
     #[test]
     fn ranked_seq_bytes() {
-        let r = RankedSeq { seq: seq("MKVL"), rank: 0.5 };
+        let r = RankedSeq { index: 0, rank: 0.5, seq_bytes: seq("MKVL").wire_bytes() };
         // 4 residues + 2 id chars + 8 overhead + 8 rank
         assert_eq!(r.wire_bytes(), 4 + 2 + 8 + 8);
     }
@@ -120,9 +137,7 @@ mod tests {
 
     #[test]
     fn msa_block_bytes() {
-        assert_eq!(MsaBlockMsg(None).wire_bytes(), 1);
         let m = bioseq::fasta::parse_alignment(">a\nMK\n>b\nMK\n").unwrap();
-        let msg = MsaBlockMsg(Some(m));
-        assert_eq!(msg.wire_bytes(), 1 + (8 + 1) * 2 + 4);
+        assert_eq!(MsaBlockMsg(m).wire_bytes(), (8 + 1) * 2 + 4);
     }
 }

@@ -229,7 +229,8 @@ pub enum Event {
     /// [`Phase::LocalAlign`]). Decomposed backends emit these from worker
     /// threads, so arrival order between buckets is not deterministic.
     BucketAligned {
-        /// Bucket/rank index.
+        /// Bucket index in rank order (a leaf index when a capped run split
+        /// its buckets); the same on every decomposed backend.
         bucket: usize,
         /// Rows in the bucket's alignment.
         rows: usize,

@@ -12,8 +12,9 @@
 //! Two implementations share the sampling/pivot code:
 //! * [`cluster::psrs`] — the real distributed protocol over a
 //!   [`vcluster::Node`] (this is what Sample-Align-D calls);
-//! * [`shared::sample_sort_by`] — a rayon shared-memory equivalent used by
-//!   the multithreaded variant of the system.
+//! * [`shared::psrs_blocks`] — the same round over blocks held in one
+//!   address space (the multithreaded variant of the system), and
+//!   [`shared::sample_sort_by`] built on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,30 +49,39 @@ where
         }
         return (out, work);
     }
-    // Emulate p local sorts: chunk the data, sort chunks in parallel,
-    // sample each chunk.
-    let n = items.len();
-    let chunk_size = n.div_ceil(parts);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(parts);
+    // Emulate p ranks: chunk the data and run the PSRS round on the
+    // chunks.
+    let chunk_size = items.len().div_ceil(parts);
     let mut iter = items.into_iter();
-    for _ in 0..parts {
-        let chunk: Vec<T> = iter.by_ref().take(chunk_size).collect();
-        chunks.push(chunk);
-    }
-    chunks.par_iter_mut().for_each(|c| c.sort_by(|a, b| key(a).total_cmp(&key(b))));
-    work += chunks.iter().map(|c| sort_work(c.len())).sum::<Work>();
-    let samples: Vec<f64> = chunks
+    let chunks: Vec<Vec<T>> =
+        (0..parts).map(|_| iter.by_ref().take(chunk_size).collect()).collect();
+    psrs_blocks(chunks, key)
+}
+
+/// The distributed PSRS round ([`crate::cluster::psrs`]) over `blocks`
+/// held in one address space, each block standing in for one rank: the
+/// same local sorts, regular samples, pivots and sort accounting, so
+/// bucket `i` holds exactly what rank `i` would receive.
+pub fn psrs_blocks<T, F>(mut blocks: Vec<Vec<T>>, key: F) -> (Vec<Vec<T>>, Work)
+where
+    T: Send,
+    F: Fn(&T) -> f64 + Sync + Send,
+{
+    let parts = blocks.len();
+    blocks.par_iter_mut().for_each(|c| c.sort_by(|a, b| key(a).total_cmp(&key(b))));
+    let mut work: Work = blocks.iter().map(|c| sort_work(c.len())).sum();
+    let samples: Vec<f64> = blocks
         .iter()
         .flat_map(|c| {
             let keys: Vec<f64> = c.iter().map(&key).collect();
-            regular_samples(&keys, parts - 1)
+            regular_samples(&keys, parts.saturating_sub(1))
         })
         .collect();
     work += sort_work(samples.len());
     let pivots = select_pivots(samples, parts);
     let mut buckets: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
-    for chunk in chunks {
-        for item in chunk {
+    for block in blocks {
+        for item in block {
             buckets[bucket_of(key(&item), &pivots)].push(item);
         }
     }

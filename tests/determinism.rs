@@ -57,16 +57,48 @@ fn regenerated_inputs_reproduce_the_same_alignment() {
     assert_eq!(fasta::write_alignment(&a.msa), fasta::write_alignment(&b.msa));
 }
 
+/// The rayon and distributed backends run one program, so on the same
+/// input and width they must agree on everything deterministic: the
+/// alignment bytes, the bucket census, the decomposition depth, the phase
+/// sequence and every phase's work.
+fn assert_backends_agree(seqs: &[Sequence], p: usize, cfg: &SadConfig) {
+    let case = format!("p={p} cap={:?}", cfg.max_bucket);
+    let dist = on_cluster(p, seqs, cfg);
+    let ray = on_rayon(p, seqs, cfg);
+    assert_eq!(fasta::write_alignment(&dist.msa), fasta::write_alignment(&ray.msa), "{case}");
+    assert_eq!(dist.bucket_sizes, ray.bucket_sizes, "{case}");
+    assert_eq!(dist.decomposition_depth, ray.decomposition_depth, "{case}");
+    assert_eq!(dist.phase_sequence(), ray.phase_sequence(), "{case}");
+    for (d, r) in dist.phases.iter().zip(&ray.phases) {
+        assert_eq!(d.work, r.work, "{case}: {} work", d.name());
+    }
+}
+
 #[test]
 fn rayon_backend_matches_distributed_exactly() {
-    // The shared-memory backend is step-identical to the message-passing
-    // one, so it must produce the same bytes — not just the same rows.
     let fam = family(43);
-    let cfg = SadConfig::default();
-    let dist = on_cluster(4, &fam.seqs, &cfg);
-    let ray = on_rayon(4, &fam.seqs, &cfg);
-    assert_eq!(fasta::write_alignment(&dist.msa), fasta::write_alignment(&ray.msa));
-    assert_eq!(dist.bucket_sizes, ray.bucket_sizes);
+    for cap in [None, Some(8), Some(1000)] {
+        for p in [1, 2, 4] {
+            assert_backends_agree(&fam.seqs, p, &SadConfig::default().with_max_bucket(cap));
+        }
+    }
+}
+
+#[test]
+fn degenerate_partition_runs_the_same_phases_on_both_backends() {
+    // Identical sequences share one rank key, so PSRS puts all of them in
+    // one bucket and leaves the others empty. Both backends must still
+    // run the same phases: a lone non-empty bucket of a p > 1 run goes
+    // through fine-tune and glue like any other.
+    let seqs: Vec<Sequence> = (0..7)
+        .map(|i| Sequence::from_codes(format!("dup{i}"), vec![1, 2, 3, 4, 5, 6, 7, 8]))
+        .collect();
+    let cfg = SadConfig::default().with_kmer_k(2);
+    for p in [2, 3, 4] {
+        assert_eq!(on_rayon(p, &seqs, &cfg).bucket_sizes.iter().filter(|&&b| b > 0).count(), 1);
+        assert_backends_agree(&seqs, p, &cfg);
+        assert_backends_agree(&seqs, p, &cfg.clone().with_fine_tune(false));
+    }
 }
 
 #[test]

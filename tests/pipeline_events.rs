@@ -114,32 +114,54 @@ fn every_backend_emits_a_well_formed_stream() {
     }
 }
 
+/// The `BucketSplit` events of a stream as `(bucket, depth, size,
+/// parts)`, bucket-major. Ranks split their buckets concurrently, so
+/// only the order within one bucket is deterministic.
+fn splits(events: &[Event]) -> Vec<(usize, usize, usize, usize)> {
+    let mut out: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::BucketSplit { bucket, depth, size, parts } => {
+                Some((*bucket, *depth, *size, *parts))
+            }
+            _ => None,
+        })
+        .collect();
+    out.sort_by_key(|&(bucket, ..)| bucket);
+    out
+}
+
 #[test]
 fn decomposed_backends_emit_identical_phase_sequences() {
     // The satellite parity check: the rayon and distributed pipelines are
-    // step-identical, so their typed phase sequences must match event for
-    // event; the sequential baseline runs the one phase it has.
+    // step-identical, so their typed phase sequences — and, on capped
+    // runs, their bucket splits — must match event for event; the
+    // sequential baseline runs the one phase it has.
     let seqs = family(24, 2);
-    let mut streams = Vec::new();
-    for backend in backends(4) {
-        let rec = Arc::new(Recorder::default());
-        Aligner::new(SadConfig::default())
-            .backend(backend)
-            .observer(Arc::clone(&rec) as Arc<dyn Observer>)
-            .run(&seqs)
-            .unwrap();
-        streams.push(rec.events());
-    }
-    let (seq, ray, dist) = (&streams[0], &streams[1], &streams[2]);
-    assert_eq!(started(ray), started(dist), "rayon vs distributed start order");
-    assert_eq!(finished(ray), finished(dist), "rayon vs distributed finish order");
-    assert_eq!(started(seq), vec![Phase::LocalAlign], "sequential is the one-phase baseline");
-    // Phases run in pipeline order on every backend.
-    for events in &streams {
-        let order = started(events);
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(order, sorted, "phases out of pipeline order");
+    for cap in [None, Some(5)] {
+        let mut streams = Vec::new();
+        for backend in backends(4) {
+            let rec = Arc::new(Recorder::default());
+            Aligner::new(SadConfig::default().with_max_bucket(cap))
+                .backend(backend)
+                .observer(Arc::clone(&rec) as Arc<dyn Observer>)
+                .run(&seqs)
+                .unwrap();
+            streams.push(rec.events());
+        }
+        let (seq, ray, dist) = (&streams[0], &streams[1], &streams[2]);
+        assert_eq!(started(ray), started(dist), "cap {cap:?}: rayon vs distributed start order");
+        assert_eq!(finished(ray), finished(dist), "cap {cap:?}: rayon vs distributed finish order");
+        assert_eq!(splits(ray), splits(dist), "cap {cap:?}: rayon vs distributed splits");
+        assert_eq!(splits(ray).is_empty(), cap.is_none(), "cap {cap:?}: splits iff capped");
+        assert_eq!(started(seq), vec![Phase::LocalAlign], "sequential is the one-phase baseline");
+        // Phases run in pipeline order on every backend.
+        for events in &streams {
+            let order = started(events);
+            let mut sorted = order.clone();
+            sorted.sort();
+            assert_eq!(order, sorted, "phases out of pipeline order");
+        }
     }
 }
 
