@@ -77,6 +77,22 @@ mod tests {
     }
 
     #[test]
+    fn agrees_with_distributed_on_bucketing() {
+        // Same sampling rules ⇒ same bucket sizes as the message-passing
+        // backend.
+        let seqs = family(32, 4);
+        let cfg = SadConfig::default();
+        let ray = run(&seqs, 4, &cfg);
+        let cluster = VirtualCluster::new(4, CostModel::beowulf_2008());
+        let dist = Aligner::new(cfg).backend(Backend::Distributed(cluster)).run(&seqs).unwrap();
+        assert_eq!(ray.bucket_sizes, dist.bucket_sizes);
+        // And the same final alignment (one program on both backends).
+        assert_eq!(ray.msa, dist.msa);
+        // Step-identical down to the typed phase sequence.
+        assert_eq!(ray.phase_sequence(), dist.phase_sequence());
+    }
+
+    #[test]
     fn fine_tune_off_is_block_diagonal() {
         let seqs = family(16, 5);
         let cfg = SadConfig::default().with_fine_tune(false);

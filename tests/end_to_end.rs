@@ -43,6 +43,16 @@ fn distributed_pipeline_is_complete_and_deterministic() {
 }
 
 #[test]
+fn rayon_and_distributed_backends_agree() {
+    let fam = family(32, 60, 600.0, 2);
+    let cfg = SadConfig::default();
+    let dist = on_cluster(4, &fam.seqs, &cfg);
+    let ray = Aligner::new(cfg).backend(Backend::Rayon { threads: 4 }).run(&fam.seqs).unwrap();
+    assert_eq!(dist.msa, ray.msa, "step-identical pipelines must agree");
+    assert_eq!(dist.bucket_sizes, ray.bucket_sizes);
+}
+
+#[test]
 fn quality_tracks_the_sequential_engine() {
     // On a homologous family, decomposing over 4 ranks should stay within
     // a reasonable band of the engine run on everything at once.
